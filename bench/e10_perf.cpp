@@ -8,14 +8,12 @@
 
 #include <array>
 
-#include "core/batch.h"
 #include "core/properties.h"
 #include "core/sampling.h"
 #include "core/validation.h"
 #include "core/roc.h"
 #include "experiments.h"
 #include "mcda/expert.h"
-#include "stats/arena.h"
 #include "vdsim/campaign.h"
 #include "vdsim/combine.h"
 
@@ -36,34 +34,6 @@ void BM_ComputeAllMetrics(benchmark::State& state) {
                           static_cast<int64_t>(core::kMetricCount));
 }
 BENCHMARK(BM_ComputeAllMetrics);
-
-void BM_BatchEvaluateAll(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  stats::Rng rng(3);
-  std::vector<core::EvalContext> contexts(n);
-  for (core::EvalContext& ctx : contexts) {
-    const auto tp = rng.uniform_int(0, 500), fp = rng.uniform_int(0, 500);
-    const auto tn = rng.uniform_int(0, 2000), fn = rng.uniform_int(0, 500);
-    ctx = core::make_abstract_context(
-        core::ConfusionMatrix{.tp = static_cast<std::uint64_t>(tp),
-                              .fp = static_cast<std::uint64_t>(fp),
-                              .tn = static_cast<std::uint64_t>(tn),
-                              .fn = static_cast<std::uint64_t>(fn)},
-        5.0, 1.0);
-  }
-  stats::Arena& arena = stats::Arena::scratch();
-  for (auto _ : state) {
-    arena.reset();
-    const core::ConfusionBatch batch = core::make_batch(contexts, arena);
-    const std::span<double> plane =
-        arena.allocate_span<double>(n * core::kMetricCount);
-    core::BatchEvaluator(arena).evaluate_all(batch, plane);
-    benchmark::DoNotOptimize(plane.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * core::kMetricCount));
-}
-BENCHMARK(BM_BatchEvaluateAll)->Arg(64)->Arg(1024);
 
 void BM_SampleConfusion(benchmark::State& state) {
   stats::Rng rng(1);

@@ -47,11 +47,14 @@ void run(cli::ExperimentContext& ctx) {
                            "undef runs"});
   for (const vdsim::ToolEstimates& tool : suite.tools) {
     for (const vdsim::MetricEstimate& est : tool.metrics) {
+      std::string interval = "[";
+      interval.append(report::format_value(est.ci.lower))
+          .append(", ")
+          .append(report::format_value(est.ci.upper))
+          .append("]");
       estimates.add_row(
           {tool.tool_name, std::string(core::metric_info(est.metric).key),
-           report::format_value(est.ci.estimate),
-           "[" + report::format_value(est.ci.lower) + ", " +
-               report::format_value(est.ci.upper) + "]",
+           report::format_value(est.ci.estimate), interval,
            report::format_value(est.ci.width()),
            std::to_string(est.undefined_runs)});
     }

@@ -23,11 +23,12 @@ void run(cli::ExperimentContext& ctx) {
                        "better", "prev-invariant", "needs TN"});
   for (const core::MetricId id : core::all_metrics()) {
     const core::MetricInfo& m = core::metric_info(id);
-    const std::string range =
-        "[" + report::format_value(m.range_lo, 0) + ", " +
-        (std::isinf(m.range_hi) ? "inf"
-                                : report::format_value(m.range_hi, 0)) +
-        "]";
+    std::string range = "[";
+    range.append(report::format_value(m.range_lo, 0))
+        .append(", ")
+        .append(std::isinf(m.range_hi) ? "inf"
+                                       : report::format_value(m.range_hi, 0))
+        .append("]");
     table.add_row({std::string(m.key), std::string(m.name),
                    std::string(m.formula),
                    std::string(core::category_name(m.category)), range,

@@ -44,10 +44,13 @@ int main(int argc, char** argv) {
         tool.metric(core::MetricId::kNormalizedExpectedCost);
     const vdsim::MetricEstimate& f1 =
         tool.metric(core::MetricId::kFMeasure);
+    std::string interval = "[";
+    interval.append(report::format_value(nec.ci.lower))
+        .append(", ")
+        .append(report::format_value(nec.ci.upper))
+        .append("]");
     table.add_row({tool.tool_name, report::format_value(nec.ci.estimate),
-                   "[" + report::format_value(nec.ci.lower) + ", " +
-                       report::format_value(nec.ci.upper) + "]",
-                   report::format_value(f1.ci.estimate)});
+                   interval, report::format_value(f1.ci.estimate)});
   }
   table.print(std::cout);
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/batch.h"
-#include "stats/arena.h"
 #include "stats/descriptive.h"
 
 namespace vdbench::core {
@@ -78,21 +76,14 @@ AggregateComparison compare_aggregates(MetricId id,
   cmp.workloads = contexts.size();
   cmp.micro = micro_average(id, contexts);
 
-  // One batch kernel pass replaces the per-context dispatch that macro
-  // averaging and the spread estimate would each have repeated. The macro
-  // accumulation below mirrors macro_average(kSkip) exactly (same order,
-  // same finite filter), so the reported value is bit-identical.
-  stats::Arena& arena = stats::Arena::scratch();
-  arena.reset();
-  const ConfusionBatch batch = make_batch(contexts, arena);
-  const std::span<double> per_workload =
-      arena.allocate_span<double>(contexts.size());
-  BatchEvaluator(arena).evaluate_metric(id, batch, per_workload);
-
+  // One pass serves both macro averaging and the spread estimate. The
+  // accumulation mirrors macro_average(kSkip) exactly (same order, same
+  // finite filter), so the reported value is bit-identical.
   double acc = 0.0;
   std::size_t defined = 0;
   std::vector<double> values;
-  for (const double v : per_workload) {
+  for (const EvalContext& ctx : contexts) {
+    const double v = compute_metric(id, ctx);
     if (std::isfinite(v)) {
       acc += v;
       ++defined;

@@ -5,9 +5,11 @@
 //
 // Every metric is computed from an EvalContext — the confusion matrix of a
 // benchmark run plus the scenario cost model and operational measurements.
+// compute_metric is the catalogue's only implementation; every caller goes
+// through it or compute_all_metrics. tests/props/metric_oracle_test.cpp
+// checks it against an independent textbook reference.
 //
-// Degenerate-input policy (single source of truth; the scalar path here
-// and core::BatchEvaluator agree bit-for-bit, asserted by tests):
+// Degenerate-input policy:
 //  - Indeterminate 0/0 forms are NaN ("the benchmark gives no answer"):
 //    every basic rate whose denominator is empty (PPV with TP+FP == 0,
 //    TPR with no actual positives, ...), accuracy/error on an empty
@@ -145,13 +147,6 @@ struct MetricInfo {
 /// All metrics, in canonical catalogue order.
 [[nodiscard]] std::span<const MetricId> all_metrics();
 
-/// Position of a metric in the canonical catalogue order (the enum is
-/// declared in that order) — e.g. the column of this metric's values in a
-/// BatchEvaluator::evaluate_all plane.
-[[nodiscard]] constexpr std::size_t metric_index(MetricId id) noexcept {
-  return static_cast<std::size_t>(id);
-}
-
 /// Metrics that induce a quality ordering (direction != kNone); these are
 /// the candidates considered by scenario analysis and MCDA.
 [[nodiscard]] std::vector<MetricId> ranking_metrics();
@@ -160,15 +155,16 @@ struct MetricInfo {
 [[nodiscard]] std::optional<MetricId> metric_from_key(std::string_view key);
 
 /// Compute a metric value. Returns NaN when the metric is undefined for
-/// this context (degenerate confusion counts or missing operational data).
+/// this context (degenerate confusion counts or missing operational data)
+/// and +inf for the unbounded ratios, per the policy above.
 [[nodiscard]] double compute_metric(MetricId id, const EvalContext& ctx);
 
 /// Compute every catalogue metric for one context, in catalogue order.
 [[nodiscard]] std::vector<double> compute_all_metrics(const EvalContext& ctx);
 
 /// Allocation-free overload: fill `out` (size kMetricCount, catalogue
-/// order) in place. Hot loops pair this with a reused buffer or an arena
-/// span; throws std::invalid_argument when out.size() != kMetricCount.
+/// order) in place, e.g. one row of a preallocated plane; throws
+/// std::invalid_argument when out.size() != kMetricCount.
 void compute_all_metrics(const EvalContext& ctx, std::span<double> out);
 
 /// Map a metric value to a "higher is better" utility for ranking:

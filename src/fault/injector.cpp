@@ -169,10 +169,10 @@ Action Injector::hit(std::string_view point, std::string_view key) {
     // Every firing is observable: the run manifest's telemetry counts it
     // and a trace shows exactly where inside the study the fault landed.
     obs::count(obs::Counter::kFaultFires);
-    obs::instant(obs::names::kFaultFire, std::string(point) + "=" +
-                                   std::string(action_name(result)) +
-                                   (key.empty() ? std::string()
-                                                : "@" + std::string(key)));
+    std::string detail(point);
+    detail.append("=").append(action_name(result));
+    if (!key.empty()) detail.append("@").append(key);
+    obs::instant(obs::names::kFaultFire, detail);
   }
   return result;
 }

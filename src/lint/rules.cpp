@@ -274,17 +274,16 @@ void check_env_prefix(const RuleMeta& rule, const LintContext& ctx,
 
 void check_thread_local(const RuleMeta& rule, const LintContext& ctx,
                         std::vector<Finding>& out) {
-  static constexpr std::string_view kAllowed[] = {
-      "src/stats/arena.cpp", "src/stats/parallel.cpp", "src/obs/trace.cpp"};
+  static constexpr std::string_view kAllowed[] = {"src/stats/parallel.cpp",
+                                                  "src/obs/trace.cpp"};
   for (const std::string_view allowed : kAllowed)
     if (path_is(ctx, allowed)) return;
   for (const CppToken& token : ctx.tokens) {
     if (!is_ident(token, "thread_local")) continue;
     report(out, ctx, token, rule,
-           "thread_local outside the audited allowlist (stats/arena, "
-           "stats/parallel, obs/trace); per-thread state is a determinism "
-           "hazard — justify and extend the allowlist in "
-           "src/lint/rules.cpp");
+           "thread_local outside the audited allowlist (stats/parallel, "
+           "obs/trace); per-thread state is a determinism hazard — justify "
+           "and extend the allowlist in src/lint/rules.cpp");
   }
 }
 

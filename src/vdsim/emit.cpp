@@ -25,7 +25,11 @@ std::string site_fn(std::size_t site_index) {
 }
 
 std::string helper_fn(std::size_t site_index, std::size_t level) {
-  return "w" + std::to_string(site_index) + "_" + std::to_string(level);
+  std::string name = "w";
+  name.append(std::to_string(site_index))
+      .append("_")
+      .append(std::to_string(level));
+  return name;
 }
 
 // --- clean-site shapes -----------------------------------------------------

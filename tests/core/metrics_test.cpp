@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/sampling.h"
 #include "stats/rng.h"
@@ -27,6 +31,31 @@ EvalContext canonical_context() {
 
 double metric(MetricId id, const EvalContext& ctx = canonical_context()) {
   return compute_metric(id, ctx);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Random context with deliberately frequent zero cells so degenerate
+// denominators appear throughout, plus occasional missing operational
+// measurements and varied costs.
+EvalContext random_context(stats::Rng& rng) {
+  const auto cell = [&](std::int64_t hi) -> std::uint64_t {
+    if (rng.bernoulli(0.15)) return 0;
+    return static_cast<std::uint64_t>(rng.uniform_int(0, hi));
+  };
+  EvalContext ctx = make_abstract_context(
+      ConfusionMatrix{.tp = cell(400),
+                      .fp = cell(400),
+                      .tn = cell(4000),
+                      .fn = cell(400)},
+      /*cost_fn=*/rng.bernoulli(0.5) ? 5.0 : 1.0,
+      /*cost_fp=*/1.0);
+  if (rng.bernoulli(0.1)) ctx.auc = std::numeric_limits<double>::quiet_NaN();
+  if (rng.bernoulli(0.1)) {
+    ctx.analysis_seconds = std::numeric_limits<double>::quiet_NaN();
+    ctx.kloc = std::numeric_limits<double>::quiet_NaN();
+  }
+  return ctx;
 }
 
 TEST(MetricValuesTest, Precision) {
@@ -208,6 +237,74 @@ TEST(MetricEdgeCasesTest, KappaUndefinedWhenChanceAgreementIsOne) {
   EvalContext ctx;
   ctx.cm = ConfusionMatrix{.tp = 0, .fp = 0, .tn = 100, .fn = 0};
   EXPECT_TRUE(std::isnan(compute_metric(MetricId::kKappa, ctx)));
+}
+
+TEST(MetricEdgeCasesTest, DegeneratePolicySpotChecks) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto metric_of = [](std::uint64_t tp, std::uint64_t fp,
+                            std::uint64_t tn, std::uint64_t fn, MetricId id) {
+    EvalContext ctx;
+    ctx.cm = ConfusionMatrix{.tp = tp, .fp = fp, .tn = tn, .fn = fn};
+    return compute_metric(id, ctx);
+  };
+  // Unbounded ratios: positive numerator over a zero denominator is +inf.
+  EXPECT_EQ(metric_of(3, 0, 7, 2, MetricId::kLrPlus), kInf);
+  EXPECT_EQ(metric_of(3, 4, 0, 2, MetricId::kLrMinus), kInf);
+  EXPECT_EQ(metric_of(5, 0, 5, 1, MetricId::kDiagnosticOddsRatio), kInf);
+  // Indeterminate 0/0 forms are NaN.
+  EXPECT_TRUE(std::isnan(metric_of(0, 0, 0, 0, MetricId::kAccuracy)));
+  EXPECT_TRUE(std::isnan(metric_of(0, 0, 5, 5, MetricId::kPrecision)));
+  EXPECT_TRUE(std::isnan(metric_of(0, 5, 5, 0, MetricId::kRecall)));
+  EXPECT_TRUE(std::isnan(metric_of(3, 4, 0, 0, MetricId::kLrMinus)));
+  EXPECT_TRUE(std::isnan(metric_of(5, 5, 0, 0, MetricId::kMcc)));
+  // F-family with P == R == 0 is a legitimate worst score, not undefined.
+  EXPECT_EQ(metric_of(0, 5, 0, 5, MetricId::kFMeasure), 0.0);
+  EXPECT_EQ(metric_of(0, 5, 0, 5, MetricId::kFHalf), 0.0);
+  EXPECT_EQ(metric_of(0, 5, 0, 5, MetricId::kF2), 0.0);
+}
+
+// EvalContext counts are 64-bit and every metric promotes to double (or
+// sums in uint64) before arithmetic: billion-count matrices, far past the
+// 10^7-site scale of the largest configured study and past 32-bit
+// overflow, must produce exact, finite values.
+TEST(MetricEdgeCasesTest, BillionCountMatricesDoNotOverflow) {
+  constexpr std::uint64_t kBillion = 3'000'000'000ULL;  // > 2^31
+  EvalContext big;
+  big.cm = ConfusionMatrix{
+      .tp = kBillion, .fp = kBillion / 3, .tn = kBillion, .fn = kBillion / 3};
+  const EvalContext balanced{.cm = ConfusionMatrix{.tp = kBillion,
+                                                   .fp = kBillion,
+                                                   .tn = kBillion,
+                                                   .fn = kBillion}};
+  // Exact expectations on the balanced matrix: total 12e9 < 2^53, so the
+  // double arithmetic is exact.
+  EXPECT_EQ(compute_metric(MetricId::kAccuracy, balanced), 0.5);
+  EXPECT_EQ(compute_metric(MetricId::kPrevalence, balanced), 0.5);
+  EXPECT_EQ(compute_metric(MetricId::kPrecision, balanced), 0.5);
+  EXPECT_EQ(compute_metric(MetricId::kMcc, balanced), 0.0);
+  for (const MetricId id :
+       {MetricId::kMcc, MetricId::kKappa, MetricId::kAccuracy,
+        MetricId::kDiagnosticOddsRatio, MetricId::kFMeasure,
+        MetricId::kBalancedAccuracy}) {
+    const double v = compute_metric(id, big);
+    EXPECT_TRUE(std::isfinite(v)) << metric_info(id).key;
+  }
+  EXPECT_NEAR(compute_metric(MetricId::kAccuracy, big), 0.75, 1e-12);
+}
+
+TEST(ComputeAllMetricsTest, OutParamOverloadMatchesVectorOverload) {
+  stats::Rng rng(7);
+  for (std::size_t i = 0; i < 64; ++i) {
+    const EvalContext ctx = random_context(rng);
+    const std::vector<double> heap = compute_all_metrics(ctx);
+    std::vector<double> flat(kMetricCount);
+    compute_all_metrics(ctx, flat);
+    for (std::size_t m = 0; m < kMetricCount; ++m)
+      EXPECT_EQ(bits(flat[m]), bits(heap[m]));
+  }
+  std::vector<double> wrong(kMetricCount - 1);
+  EXPECT_THROW(compute_all_metrics(EvalContext{}, wrong),
+               std::invalid_argument);
 }
 
 TEST(MetricRegistryTest, CatalogueHasExpectedSize) {

@@ -67,9 +67,10 @@ GeneratedCase generate(PropGen& gen) {
         finding.line = site.line;
         finding.level = "warning";
         const std::size_t pick = gen.below(9);
-        finding.rule_id = pick < 8 ? "r" + std::to_string(pick)
-                          : gen.below(1) == 0 ? "r-offmap"
-                                              : "r-unlisted";
+        finding.rule_id =
+            pick < 8 ? std::string("r").append(std::to_string(pick))
+            : gen.below(1) == 0 ? "r-offmap"
+                                : "r-unlisted";
         finding.confidence =
             gen.below(3) == 0 ? -1.0 : gen.uniform(0.0, 1.0);
         out.report.findings.push_back(finding);

@@ -77,6 +77,24 @@ class PropGen {
     return cm;
   }
 
+  /// Aggressively degenerate matrix: on top of confusion()'s quarter-rate
+  /// single-cell zeroing, half the time zero out 1-3 cells more.
+  core::ConfusionMatrix degenerate_confusion(std::uint64_t cell_max = 40) {
+    core::ConfusionMatrix cm = confusion(cell_max);
+    if (below(1) == 0) {
+      const std::uint64_t zeros = 1 + below(2);
+      for (std::uint64_t z = 0; z < zeros; ++z) {
+        switch (below(3)) {
+          case 0: cm.tp = 0; break;
+          case 1: cm.fp = 0; break;
+          case 2: cm.tn = 0; break;
+          default: cm.fn = 0; break;
+        }
+      }
+    }
+    return cm;
+  }
+
  private:
   static std::uint64_t fnv1a(std::string_view text) {
     std::uint64_t h = 0xCBF29CE484222325ULL;
