@@ -35,8 +35,7 @@ void run(cli::ExperimentContext& ctx) {
 
   for (const vdsim::ToolProfile& tool : vdsim::builtin_tools()) {
     const auto scope = ctx.timer.scope(stage::kRocSweep);
-    stats::Rng rng = stats::Rng(kStudySeed + 11)
-                         .split(std::hash<std::string>{}(tool.name));
+    stats::Rng rng = stats::Rng(kStudySeed + 11).split(tool.name);
     const core::RocCurve roc{vdsim::run_tool_scored(tool, workload, rng)};
     const core::RocPoint& jstar = roc.youden_point();
     const core::RocPoint& cstar = roc.optimal_point(10.0, 1.0);

@@ -48,9 +48,8 @@ void run(cli::ExperimentContext& ctx) {
     std::vector<core::EvalContext> contexts;
     const auto scope = ctx.timer.scope(stage::kBenchmarkAggregate);
     for (std::size_t i = 0; i < workloads.size(); ++i) {
-      stats::Rng rng = stats::Rng(kStudySeed + 13)
-                           .split(std::hash<std::string>{}(tool.name))
-                           .split(i);
+      stats::Rng rng =
+          stats::Rng(kStudySeed + 13).split(tool.name).split(i);
       contexts.push_back(
           run_benchmark(tool, workloads[i], vdsim::CostModel{10.0, 1.0}, rng)
               .context);

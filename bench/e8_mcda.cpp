@@ -34,8 +34,7 @@ void run(cli::ExperimentContext& ctx) {
       const auto scope = ctx.timer.scope(stage::kStage2Validation);
       return run_stage2(scenario);
     }();
-    stats::Rng rng = stats::Rng(kStudySeed + 8)
-                         .split(std::hash<std::string>{}(scenario.key));
+    stats::Rng rng = stats::Rng(kStudySeed + 8).split(scenario.key);
     const core::ValidationOutcome val =
         validator.validate(scenario, assessments, effectiveness, rng);
 

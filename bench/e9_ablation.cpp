@@ -77,8 +77,7 @@ void run(cli::ExperimentContext& ctx) {
   for (const core::Scenario& sc : core::builtin_scenarios()) {
     const auto scope = ctx.timer.scope(stage::kMethodAblation);
     const auto eff = run_stage2(sc);
-    stats::Rng rng = stats::Rng(kStudySeed + 10)
-                         .split(std::hash<std::string>{}(sc.key));
+    stats::Rng rng = stats::Rng(kStudySeed + 10).split(sc.key);
     const core::ValidationOutcome val =
         validator.validate(sc, assessments, eff, rng);
     method_table.add_row(

@@ -72,8 +72,7 @@ inline std::vector<core::MetricAssessment> run_stage1() {
 inline std::vector<core::EffectivenessResult> run_stage2(
     const core::Scenario& scenario) {
   const obs::Span span(obs::names::kStudyStage2, scenario.key);
-  stats::Rng rng = stats::Rng(kStudySeed).split(
-      std::hash<std::string>{}(scenario.key));
+  stats::Rng rng = stats::Rng(kStudySeed).split(scenario.key);
   return core::ScenarioAnalyzer(full_analyzer_config())
       .analyze(scenario, core::ranking_metrics(), rng);
 }

@@ -1,29 +1,21 @@
 // Stable content hashing for cache keys and payload checksums.
 //
-// FNV-1a (64-bit) is deliberately simple: the cache needs a hash that is
-// identical across processes, platforms and library versions — not a
-// cryptographic one. Keys additionally length-prefix every field so that
-// ("ab","c") and ("a","bc") can never collide by concatenation.
+// The hash is stats::fnv1a64 (see stats/fnv.h for why FNV-1a). Keys
+// additionally length-prefix every field so that ("ab","c") and ("a","bc")
+// can never collide by concatenation.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "stats/fnv.h"
+
 namespace vdbench::cache {
 
-inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-/// 64-bit FNV-1a over `bytes`, continuing from `state` (chainable).
-[[nodiscard]] constexpr std::uint64_t fnv1a64(
-    std::string_view bytes, std::uint64_t state = kFnvOffsetBasis) noexcept {
-  for (const char ch : bytes) {
-    state ^= static_cast<unsigned char>(ch);
-    state *= kFnvPrime;
-  }
-  return state;
-}
+using stats::fnv1a64;
+using stats::kFnvOffsetBasis;
+using stats::kFnvPrime;
 
 /// Fixed-width lowercase hex rendering (16 chars) of a 64-bit digest.
 [[nodiscard]] std::string to_hex64(std::uint64_t value);

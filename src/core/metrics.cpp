@@ -147,17 +147,17 @@ double mcc(const ConfusionMatrix& cm) {
 }
 
 double kappa(const ConfusionMatrix& cm) {
-  const double n = static_cast<double>(cm.total());
-  if (n == 0.0) return kNaN;
-  const double po =
-      (static_cast<double>(cm.tp) + static_cast<double>(cm.tn)) / n;
-  const double p_yes = (static_cast<double>(cm.tp + cm.fp) / n) *
-                       (static_cast<double>(cm.tp + cm.fn) / n);
-  const double p_no = (static_cast<double>(cm.tn + cm.fn) / n) *
-                      (static_cast<double>(cm.tn + cm.fp) / n);
-  const double pe = p_yes + p_no;
-  if (pe == 1.0) return kNaN;  // degenerate single-class predictions
-  return (po - pe) / (1.0 - pe);
+  // (po - pe)/(1 - pe) in count form: multiplying through by N^2 gives
+  // 2(TP*TN - FP*FN) / ((TP+FP)(FP+TN) + (TP+FN)(FN+TN)), which is exactly
+  // 0 at chance level (TP*TN == FP*FN), where the ratio of proportions
+  // lands a rounding error away from it.
+  const double tp = static_cast<double>(cm.tp);
+  const double fp = static_cast<double>(cm.fp);
+  const double tn = static_cast<double>(cm.tn);
+  const double fn = static_cast<double>(cm.fn);
+  const double den = (tp + fp) * (fp + tn) + (tp + fn) * (fn + tn);
+  if (den == 0.0) return kNaN;  // empty, or single-class predictions
+  return 2.0 * (tp * tn - fn * fp) / den;
 }
 
 double normalized_expected_cost(const EvalContext& ctx) {

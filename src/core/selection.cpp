@@ -80,7 +80,10 @@ std::vector<EffectivenessResult> ScenarioAnalyzer::analyze(
   std::vector<std::size_t> ties(metrics.size(), 0);
 
   for (std::size_t t = 0; t < config_.pair_trials; ++t) {
-    const PairOutcome pair = sample_pair(scenario, config_, rng);
+    // One stream per trial, so a trial's draws do not depend on how many
+    // the trials before it made.
+    stats::Rng trial_rng = rng.split(t);
+    const PairOutcome pair = sample_pair(scenario, config_, trial_rng);
     for (std::size_t m = 0; m < metrics.size(); ++m) {
       const MetricId id = metrics[m];
       const double u_better =

@@ -41,13 +41,13 @@ void Study::run() {
 
   for (const Scenario& scenario : scenarios_) {
     stats::Rng scenario_rng =
-        master.split(2).split(std::hash<std::string>{}(scenario.key));
+        master.split(2).split(scenario.key);
     std::vector<EffectivenessResult> eff =
         analyzer.analyze(scenario, metrics, scenario_rng);
     recommendations_.emplace(scenario.key,
                              selector.recommend(scenario, assessments_, eff));
     stats::Rng validation_rng =
-        master.split(3).split(std::hash<std::string>{}(scenario.key));
+        master.split(3).split(scenario.key);
     validations_.emplace(scenario.key,
                          validator.validate(scenario, assessments_, eff,
                                             validation_rng));

@@ -11,17 +11,6 @@ namespace vdbench::corpus {
 
 namespace {
 
-// Stable 64-bit tag for a tool name (FNV-1a), so the per-tool Rng stream
-// depends only on (corpus seed, tool name) — never on enumeration order.
-std::uint64_t name_tag(std::string_view name) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 double clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 }  // namespace
@@ -73,7 +62,7 @@ SarifReport synthesize_report(const SyntheticCorpusSpec& spec,
          "warning"});
 
   stats::Rng root(spec.seed);
-  stats::Rng rng = root.split(name_tag(tool.name));
+  stats::Rng rng = root.split(tool.name);
   for (const Ecosystem& eco : manifest.ecosystems) {
     for (const TruthSite& site : eco.sites) {
       SarifFinding finding;

@@ -92,6 +92,25 @@ void check_random_device(const RuleMeta& rule, const LintContext& ctx,
   }
 }
 
+void check_std_distribution(const RuleMeta& rule, const LintContext& ctx,
+                            std::vector<Finding>& out) {
+  const auto code = code_tokens(ctx);
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const CppToken& token = *code[i];
+    if (token.type != CppTokenType::kIdentifier) continue;
+    const bool engine = token.text.starts_with("mt19937");
+    const bool qualified = is_std_qualified(code, i);
+    if (!engine && !(qualified && (token.text.ends_with("_distribution") ||
+                                   token.text == "hash")))
+      continue;
+    report(out, ctx, token, rule,
+           "std::" + token.text +
+               " is implementation-defined, so a stream or seed built on it "
+               "differs between standard libraries; use stats::Rng and "
+               "Rng::split(std::string_view)");
+  }
+}
+
 void check_time(const RuleMeta& rule, const LintContext& ctx,
                 std::vector<Finding>& out) {
   if (path_starts_with(ctx, "src/obs/")) return;
@@ -380,6 +399,10 @@ RuleRegistry RuleRegistry::default_rules() {
   add("vdl-random-device", Severity::kError,
       "std::random_device banned; seeds come from configuration",
       check_random_device);
+  add("vdl-std-distribution", Severity::kError,
+      "std::*_distribution, std::mt19937* and std::hash banned; exports "
+      "must not depend on the standard library",
+      check_std_distribution);
   add("vdl-time", Severity::kError,
       "time() wall-clock reads banned outside src/obs/", check_time);
   add("vdl-wallclock-now", Severity::kError,

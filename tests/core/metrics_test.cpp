@@ -239,6 +239,14 @@ TEST(MetricEdgeCasesTest, KappaUndefinedWhenChanceAgreementIsOne) {
   EXPECT_TRUE(std::isnan(compute_metric(MetricId::kKappa, ctx)));
 }
 
+TEST(MetricEdgeCasesTest, KappaIsExactlyZeroAtChanceLevel) {
+  // TP*TN == FP*FN: agreement is exactly what chance predicts. The
+  // (po - pe)/(1 - pe) form gave -2.6e-16 here.
+  EvalContext ctx;
+  ctx.cm = ConfusionMatrix{.tp = 27, .fp = 18, .tn = 2, .fn = 3};
+  EXPECT_EQ(compute_metric(MetricId::kKappa, ctx), 0.0);
+}
+
 TEST(MetricEdgeCasesTest, DegeneratePolicySpotChecks) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto metric_of = [](std::uint64_t tp, std::uint64_t fp,

@@ -39,7 +39,7 @@ struct Study {
       const core::MetricSelector selector;
       const auto metrics = core::ranking_metrics();
       for (const core::Scenario& scenario : core::builtin_scenarios()) {
-        stats::Rng erng(2000 + std::hash<std::string>{}(scenario.key) % 1000);
+        stats::Rng erng = stats::Rng(2000).split(scenario.key);
         s.effectiveness[scenario.key] =
             analyzer.analyze(scenario, metrics, erng);
         s.recommendations[scenario.key] = selector.recommend(
@@ -164,7 +164,7 @@ TEST(McdaIntegrationTest, ValidationAgreesAcrossScenarios) {
   vcfg.persona_spread = 0.10;
   const core::McdaValidator validator(vcfg);
   for (const core::Scenario& scenario : core::builtin_scenarios()) {
-    stats::Rng rng(3000 + std::hash<std::string>{}(scenario.key) % 1000);
+    stats::Rng rng = stats::Rng(3000).split(scenario.key);
     const core::ValidationOutcome out = validator.validate(
         scenario, s.assessments, s.effectiveness.at(scenario.key), rng);
     EXPECT_GT(out.kendall_agreement, 0.2) << scenario.key;

@@ -154,6 +154,7 @@ struct FixtureCase {
 const FixtureCase kFixtureCases[] = {
     {"rand", "vdl-rand"},
     {"random_device", "vdl-random-device"},
+    {"std_distribution", "vdl-std-distribution"},
     {"time", "vdl-time"},
     {"wallclock", "vdl-wallclock-now"},
     {"span_name", "vdl-span-name"},
@@ -277,7 +278,7 @@ TEST(OutputTest, SarifGoldenMatchesAndRendersDeterministically) {
   const RuleRegistry registry = RuleRegistry::default_rules();
   const std::vector<SourceFile> files =
       collect_files(kRepoRoot, {"tests/lint/fixtures"});
-  ASSERT_EQ(files.size(), 28u);
+  ASSERT_EQ(files.size(), 30u);
   std::vector<Finding> findings;
   for (const SourceFile& file : files) {
     std::vector<Finding> f =

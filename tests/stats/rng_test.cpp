@@ -4,8 +4,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "stats/hypothesis.h"
 
 namespace vdbench::stats {
 namespace {
@@ -223,16 +230,256 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_TRUE(std::is_permutation(v.begin(), v.end(), shuffled.begin()));
 }
 
-TEST(RngTest, PoissonZeroMean) {
-  Rng rng(1);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  EXPECT_THROW(rng.poisson(-1.0), std::invalid_argument);
-}
-
 TEST(RngTest, ExponentialPositive) {
   Rng rng(53);
   for (int i = 0; i < 100; ++i) EXPECT_GT(rng.exponential(2.0), 0.0);
   EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
+}
+
+// --- the specified streams ------------------------------------------------
+
+// Reference xoshiro256++ seeded through splitmix64, written out from the
+// published algorithm, independent of rng.cpp.
+class ReferenceXoshiro {
+ public:
+  explicit ReferenceXoshiro(std::uint64_t seed) {
+    for (std::uint64_t& word : s_) {
+      std::uint64_t z = (seed += 0x9E3779B97F4A7C15ULL);
+      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+      word = z ^ (z >> 31);
+    }
+  }
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
+
+ private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  std::uint64_t s_[4];
+};
+
+TEST(RngTest, UniformIsTopBitsOfReferenceXoshiro256PlusPlus) {
+  for (const std::uint64_t seed : {0ULL, 1ULL, 2015ULL, ~0ULL}) {
+    Rng rng(seed);
+    ReferenceXoshiro ref(seed);
+    for (int i = 0; i < 1000; ++i)
+      ASSERT_EQ(rng.uniform(),
+                static_cast<double>(ref.next() >> 11) * 0x1p-53)
+          << "seed " << seed << " draw " << i;
+  }
+}
+
+// The first draws of every sampler from one seed. A change to any sampler,
+// the engine or the split derivation shows here, and moves every
+// stochastic export; re-record these only together with the exports.
+TEST(RngTest, GoldenStreamsPinEverySampler) {
+  constexpr std::uint64_t kSeed = 2015;
+  {
+    Rng rng(kSeed);
+    for (const double want : {0x1.b4cd589e20304p-2, 0x1.4929f16cb91f8p-3,
+                              0x1.00b95c36a9156p-1, 0x1.0e55134f9a402p-2})
+      EXPECT_EQ(rng.uniform(), want);
+  }
+  {
+    Rng rng(kSeed);
+    for (const std::int64_t want : {424, 156, 499, 260})
+      EXPECT_EQ(rng.uniform_int(-5, 1000), want);
+  }
+  {
+    Rng rng(kSeed);
+    for (const bool want : {true, true, false, true, true, true, true, false})
+      EXPECT_EQ(rng.bernoulli(0.5), want);
+  }
+  {
+    Rng rng(kSeed);
+    for (const double want : {-0x1.05b733ba813e8p-2, 0x1.544189810eaa1p-7,
+                              -0x1.0ed540899314bp-4})
+      EXPECT_EQ(rng.normal(0.0, 1.0), want);
+  }
+  {
+    Rng rng(kSeed);
+    for (const double want : {0x1.8c86cabe4fb79p-1, 0x1.02ac0eb2d6f8cp+0,
+                              0x1.df3da826d8ee5p-1})
+      EXPECT_EQ(rng.lognormal(0.0, 1.0), want);
+  }
+  {
+    Rng rng(kSeed);
+    for (const double want : {0x1.1cba71e3c871ap-2, 0x1.66d7cd3d1d6dep-4,
+                              0x1.64576ed44a6p-2})
+      EXPECT_EQ(rng.exponential(2.0), want);
+  }
+  {
+    Rng rng(kSeed);  // n*p = 5: inversion
+    for (const std::uint64_t want : {4u, 3u, 5u, 4u})
+      EXPECT_EQ(rng.binomial(100, 0.05), want);
+  }
+  {
+    Rng rng(kSeed);  // n*p = 6000: BTRD
+    for (const std::uint64_t want : {6009u, 5951u, 6024u, 5975u})
+      EXPECT_EQ(rng.binomial(20000, 0.3), want);
+  }
+  {
+    Rng rng(kSeed);  // p > 0.5: BTRD on 1 - p, flipped
+    for (const std::uint64_t want : {896u, 906u, 893u, 902u})
+      EXPECT_EQ(rng.binomial(1000, 0.9), want);
+  }
+  {
+    Rng rng(kSeed);
+    Rng by_tag = rng.split(7);
+    EXPECT_EQ(by_tag.seed(), 0x80a1332f9a30b464ULL);
+    EXPECT_EQ(by_tag.uniform(), 0x1.acb6c100b6f04p-3);
+    Rng by_key = rng.split("s4");
+    EXPECT_EQ(by_key.seed(), 0x70a09f287f1df356ULL);
+    EXPECT_EQ(by_key.uniform(), 0x1.d02b09770078p-3);
+  }
+}
+
+TEST(RngTest, StringSplitIsTheFnv1aTagSplit) {
+  Rng a(3), b(3);
+  // 64-bit FNV-1a of "s4", written out.
+  std::uint64_t tag = 14695981039346656037ULL;
+  for (const char c : std::string("s4")) {
+    tag ^= static_cast<unsigned char>(c);
+    tag *= 1099511628211ULL;
+  }
+  EXPECT_EQ(a.split("s4").seed(), b.split(tag).seed());
+  EXPECT_EQ(a.split_count(), 1u);
+}
+
+TEST(RngTest, UniformIntSpansTheFullInt64Range) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(43);
+  std::int64_t lo = kMax, hi = kMin;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t x = rng.uniform_int(kMin, kMax);
+    lo = std::min(lo, x);
+    hi = std::max(hi, x);
+  }
+  EXPECT_LT(lo, kMin / 2);
+  EXPECT_GT(hi, kMax / 2);
+}
+
+TEST(RngTest, UniformIntDegenerateRangeReturnsItsBound) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(47);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.uniform_int(7, 7), 7);
+    EXPECT_EQ(rng.uniform_int(kMin, kMin), kMin);
+    EXPECT_EQ(rng.uniform_int(kMax, kMax), kMax);
+  }
+}
+
+TEST(RngTest, UniformNeverReturnsHi) {
+  // A one-ulp range: lo + (hi - lo) * u rounds to hi for every u >= 1/2.
+  const double lo = 1.0;
+  const double hi = std::nextafter(1.0, 2.0);
+  Rng rng(53);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(rng.uniform(lo, hi), lo);
+}
+
+// --- binomial exactness: chi-square against the exact pmf ----------------
+
+struct BinomialCase {
+  std::uint64_t n;
+  double p;
+  const char* covers;
+};
+
+double log_binomial_pmf(std::uint64_t n, double p, std::uint64_t k) {
+  const double nd = static_cast<double>(n);
+  const double kd = static_cast<double>(k);
+  return std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+         std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+         (nd - kd) * std::log1p(-p);
+}
+
+// Pearson's statistic over cells pooled left to right until each expects
+// at least 5 draws; returns it and the degrees of freedom.
+std::pair<double, double> binomial_chi_square(
+    std::uint64_t n, double p, const std::vector<std::uint64_t>& observed,
+    double draws) {
+  std::vector<double> cell_expected, cell_observed;
+  double e = 0.0, o = 0.0;
+  for (std::uint64_t k = 0; k <= n; ++k) {
+    e += draws * std::exp(log_binomial_pmf(n, p, k));
+    o += static_cast<double>(observed[k]);
+    if (e >= 5.0) {
+      cell_expected.push_back(e);
+      cell_observed.push_back(o);
+      e = o = 0.0;
+    }
+  }
+  cell_expected.back() += e;  // the tail that never reached 5
+  cell_observed.back() += o;
+  double chi2 = 0.0;
+  for (std::size_t c = 0; c < cell_expected.size(); ++c) {
+    const double d = cell_observed[c] - cell_expected[c];
+    chi2 += d * d / cell_expected[c];
+  }
+  return {chi2, static_cast<double>(cell_expected.size() - 1)};
+}
+
+TEST(RngTest, BinomialMatchesExactPmfAcrossBranches) {
+  const std::vector<BinomialCase> grid = {
+      {1, 0.5, "n = 1"},
+      {20, 0.45, "n*p = 9: inversion"},
+      {25, 0.4, "n*p = 10: BTRD at the switch"},
+      {100, 0.099, "n*p = 9.9: inversion below the switch"},
+      {100, 0.101, "n*p = 10.1: BTRD above the switch"},
+      {100, 0.49, "p just below 0.5"},
+      {100, 0.5, "p = 0.5: no flip"},
+      {100, 0.51, "p just above 0.5: flipped"},
+      {200, 0.96, "n*(1-p) = 8: flipped inversion"},
+      {1000, 0.3, "BTRD with |k - m| > 15: squeeze and Stirling tails"},
+      {20000, 0.0004, "n = 20,000, n*p = 8: inversion"},
+      {20000, 0.05, "n = 20,000: BTRD (scenario s4)"},
+      {20000, 0.7, "n = 20,000, p > 0.5: flipped BTRD"},
+      {20000, 0.9995, "n = 20,000, n*(1-p) = 10: flipped BTRD"},
+  };
+  constexpr std::uint64_t kDraws = 200000;
+  // Family-wise false-alarm rate 1e-3, Bonferroni-split over the grid; the
+  // chi-square quantile comes from the Wilson-Hilferty approximation.
+  const double z = normal_quantile(1.0 - 1e-3 / static_cast<double>(grid.size()));
+  Rng rng(20150622);
+  for (const BinomialCase& c : grid) {
+    std::vector<std::uint64_t> observed(c.n + 1, 0);
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+      const std::uint64_t k = rng.binomial(c.n, c.p);
+      ASSERT_LE(k, c.n) << c.covers;
+      ++observed[k];
+    }
+    const auto [chi2, df] =
+        binomial_chi_square(c.n, c.p, observed, static_cast<double>(kDraws));
+    const double h = 2.0 / (9.0 * df);
+    const double critical = df * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
+    EXPECT_LT(chi2, critical) << "n=" << c.n << " p=" << c.p << " ("
+                              << c.covers << "), df " << df;
+  }
+}
+
+TEST(RngTest, BinomialDegenerateParameters) {
+  Rng rng(59);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.binomial(0, 0.3), 0u);
+    EXPECT_EQ(rng.binomial(0, 1.0), 0u);
+    EXPECT_EQ(rng.binomial(40, 0.0), 0u);
+    EXPECT_EQ(rng.binomial(40, -0.5), 0u);
+    EXPECT_EQ(rng.binomial(40, 1.0), 40u);
+    EXPECT_EQ(rng.binomial(40, 1.5), 40u);
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <string_view>
 
 #include "core/confusion.h"
+#include "stats/fnv.h"
 
 namespace vdbench::testsupport {
 
@@ -31,7 +32,7 @@ class PropGen {
     std::string name = "propgen";
     if (info != nullptr)
       name = std::string(info->test_suite_name()) + "." + info->name();
-    return PropGen(fnv1a(name));
+    return PropGen(stats::fnv1a64(name));
   }
 
   /// splitmix64 step: uniform 64-bit output, passes statistical tests and
@@ -96,15 +97,6 @@ class PropGen {
   }
 
  private:
-  static std::uint64_t fnv1a(std::string_view text) {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (const char c : text) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001B3ULL;
-    }
-    return h;
-  }
-
   std::uint64_t state_;
 };
 
