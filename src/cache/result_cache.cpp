@@ -308,7 +308,8 @@ void ResultCache::evict_to_cap() {
 void ResultCache::load_index() {
   entries_.clear();
   total_bytes_ = 0;
-  if (const std::optional<std::string> raw = read_file(index_path())) {
+  index_text_ = read_file(index_path());
+  if (const std::optional<std::string>& raw = index_text_) {
     std::istringstream lines(*raw);
     std::string hex;
     std::uint64_t bytes = 0, last_used = 0;
@@ -346,9 +347,12 @@ void ResultCache::save_index() const {
   for (const Entry& e : entries_)
     out << to_hex64(e.digest) << '\t' << e.bytes << '\t' << e.last_used
         << '\n';
-  // Index loss is recoverable (entries are adopted on next load), so a
-  // failed index write is deliberately not an error.
-  (void)write_file_atomic(index_path(), std::move(out).str());
+  // A warm hit within the same recency second changes nothing: skip the
+  // rewrite. Index loss is recoverable (entries are adopted on next load),
+  // so a failed index write is deliberately not an error.
+  std::string text = std::move(out).str();
+  if (text == index_text_) return;
+  if (write_file_atomic(index_path(), text)) index_text_ = std::move(text);
 }
 
 }  // namespace vdbench::cache

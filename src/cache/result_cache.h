@@ -141,6 +141,9 @@ class ResultCache {
 
   Config config_;
   std::vector<Entry> entries_;
+  /// The index file's text as last read or written (nullopt: no file), so
+  /// a save that would rewrite identical bytes is skipped.
+  mutable std::optional<std::string> index_text_;
   std::uint64_t total_bytes_ = 0;
   CacheStats stats_;
 };

@@ -898,6 +898,31 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
   payloads.reserve(selected.size());
   bool aborted_fail_fast = false;
 
+  // Crash-safety: while work a kill would lose is in flight, the manifest
+  // on disk records every experiment that finished before it. So it is
+  // published after every computed or failed experiment, and before a
+  // computation starts if cache replays finished since the last publish.
+  // A replay loses nothing to a kill (resume finds the same entry), so a
+  // warm run writes its manifest once, at the end.
+  bool replays_unpublished = false;
+  const auto publish_progress = [&] {
+    replays_unpublished = false;
+    if (options.manifest_path.empty()) return;
+    run.total_seconds =
+        seconds_between(run_start, std::chrono::steady_clock::now());
+    const std::size_t lookups_so_far = run.hits + run.misses;
+    run.hit_rate = lookups_so_far == 0
+                       ? 0.0
+                       : static_cast<double>(run.hits) /
+                             static_cast<double>(lookups_so_far);
+    if (!write_manifest(
+            options.manifest_path, run, options, cache_dir,
+            result_cache ? result_cache->stats() : cache::CacheStats{},
+            telemetry_baseline, clock(), threads, selected.size(),
+            /*complete=*/false))
+      out << "warning: could not write run manifest\n";
+  };
+
   for (const Experiment* experiment : selected) {
     const obs::Span experiment_span(obs::names::kDriverExperiment, experiment->id);
     ExperimentContext::StreamRun stream_run;
@@ -968,6 +993,7 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
       ++run.hits;
       obs::count(obs::Counter::kExperimentsReplayed);
     } else {
+      if (replays_unpublished) publish_progress();
       // Compute under the supervisor: up to 1 + retries attempts, each a
       // fresh context (same seed ⇒ byte-identical result), each optionally
       // watchdogged.
@@ -1047,25 +1073,13 @@ RunOutcome run_driver(const ExperimentRegistry& registry,
     }
     append_timer_jsonl(outcome, threads);
     const bool failed = outcome.source == ExperimentOutcome::Source::kFailed;
+    const bool replayed =
+        outcome.source == ExperimentOutcome::Source::kCacheHit;
     run.experiments.push_back(std::move(outcome));
-
-    // Crash-safety: publish the manifest after every experiment so a killed
-    // run leaves a resumable record of everything that finished.
-    if (!options.manifest_path.empty()) {
-      run.total_seconds =
-          seconds_between(run_start, std::chrono::steady_clock::now());
-      const std::size_t lookups_so_far = run.hits + run.misses;
-      run.hit_rate = lookups_so_far == 0
-                         ? 0.0
-                         : static_cast<double>(run.hits) /
-                               static_cast<double>(lookups_so_far);
-      if (!write_manifest(
-              options.manifest_path, run, options, cache_dir,
-              result_cache ? result_cache->stats() : cache::CacheStats{},
-              telemetry_baseline, clock(), threads, selected.size(),
-              /*complete=*/false))
-        out << "warning: could not write run manifest\n";
-    }
+    if (replayed)
+      replays_unpublished = true;
+    else
+      publish_progress();
 
     if (failed && options.fail_fast) {
       out << "vdbench: --fail-fast, aborting after first failure\n";

@@ -15,6 +15,7 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include "cli/driver.h"
@@ -126,6 +127,29 @@ class ProgressBuf : public std::streambuf {
   stats::CancellationToken& token_;
   std::atomic<bool>& client_gone_;
   std::string buffer_;
+};
+
+// One-shot wake-up for a session's watchdog: the worker signals it once
+// the driver returns, ending the watchdog's poll() at once.
+class SessionWake {
+ public:
+  SessionWake() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+  ~SessionWake() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  SessionWake(const SessionWake&) = delete;
+  SessionWake& operator=(const SessionWake&) = delete;
+
+  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+  void signal() noexcept {
+    const std::uint64_t one = 1;
+    // Non-blocking and signalled once: the counter cannot overflow.
+    [[maybe_unused]] const ssize_t rc = ::write(fd_, &one, sizeof(one));
+  }
+
+ private:
+  int fd_;
 };
 
 }  // namespace
@@ -255,28 +279,24 @@ int Server::run(std::ostream& log) {
   abandoned.clear();
 
   {
-    // Give the in-flight study its grace, then cancel its token. The
-    // worker marks itself busy before handle_session installs the token,
-    // so a single cancel attempt at grace expiry could land in that
-    // window and miss — keep re-checking until the worker clears. The
-    // loop is bounded: the request-read phase has its own short deadline
-    // (request_sec), and a cancelled driver run still writes its
-    // manifest atomically and returns, so the join below is too.
+    // Give the in-flight study its grace, then cancel it. The worker marks
+    // itself busy before handle_session installs the session token, so the
+    // cancel is also recorded in cancel_inflight_, which handle_session
+    // honours when it installs the token: one cancel cannot miss. The
+    // final wait is bounded: the request-read phase has its own short
+    // deadline (request_sec), and a cancelled driver run still writes its
+    // manifest atomically and returns.
     core::MutexLock lock(mutex_);
     const Deadline grace = after_seconds(options_.drain_sec);
     while (worker_busy_ && Clock::now() < grace)
-      done_cv_.wait_for(lock, std::chrono::milliseconds(20));
-    bool announced = false;
-    while (worker_busy_) {
+      done_cv_.wait_until(lock, grace);
+    if (worker_busy_) {
+      cancel_inflight_ = true;
       if (active_token_ != nullptr) active_token_->request_cancel();
-      if (!announced) {
-        announced = true;
-        lock.unlock();
-        say(log, "vdbenchd: drain grace expired; cancelling in-flight study");
-        lock.lock();
-        continue;  // state may have changed while unlocked
-      }
-      done_cv_.wait_for(lock, std::chrono::milliseconds(20));
+      lock.unlock();
+      say(log, "vdbenchd: drain grace expired; cancelling in-flight study");
+      lock.lock();
+      while (worker_busy_) done_cv_.wait(lock);
     }
   }
   worker.join();
@@ -302,8 +322,7 @@ void Server::worker_loop(std::ostream& log) {
     Pending session;
     {
       core::MutexLock lock(mutex_);
-      while (queue_.empty() && !draining_)
-        queue_cv_.wait_for(lock, std::chrono::milliseconds(50));
+      while (queue_.empty() && !draining_) queue_cv_.wait(lock);
       if (queue_.empty() && draining_) return;
       session = std::move(queue_.front());
       queue_.pop_front();
@@ -372,8 +391,8 @@ void Server::handle_session(Pending session, std::ostream& log) {
   driver.quiet = request->quiet;
   driver.json_out = (work / (session_name + ".export.json")).string();
   driver.manifest_path = (work / (session_name + ".manifest.json")).string();
+  // The driver creates the artifact directory when it writes an artifact.
   driver.artifact_dir = (work / (session_name + ".artifacts")).string();
-  std::filesystem::create_directories(driver.artifact_dir);
   driver.retries = request->retries;
   driver.study_seed =
       request->study_seed != 0 ? request->study_seed : options_.study_seed;
@@ -393,12 +412,25 @@ void Server::handle_session(Pending session, std::ostream& log) {
     return;
   }
 
-  // 3. Run the study under the session token; a watchdog thread cancels
-  // on deadline expiry or when the client vanishes mid-study.
+  // 3. Run the study under the session token. A watchdog thread blocks in
+  // one poll() until the study ends (the worker signals `wake`), the
+  // client hangs up, or the deadline passes; the last two cancel.
+  SessionWake wake;
+  if (!wake.valid()) {
+    StudyStatus status;
+    status.status = "transport_error";
+    status.exit_code = kExitTransport;
+    status.error = std::string("session watchdog setup failed: ") +
+                   std::strerror(errno);
+    send_status_best_effort(session.socket, status);
+    return;
+  }
   stats::CancellationToken token;
   {
     const core::MutexLock lock(mutex_);
     active_token_ = &token;
+    // Drain may have given up on this session before its token existed.
+    if (cancel_inflight_) token.request_cancel();
   }
   // `token` is a stack local: the drain path dereferences active_token_
   // under mutex_, so the pointer must be cleared before the token dies —
@@ -412,19 +444,22 @@ void Server::handle_session(Pending session, std::ostream& log) {
   } token_guard{this};
   std::atomic<bool> client_gone{false};
   std::atomic<bool> deadline_hit{false};
-  std::atomic<bool> session_done{false};
   std::thread watchdog([&] {
-    while (!session_done.load(std::memory_order_relaxed)) {
-      if (Clock::now() >= session.deadline) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        token.request_cancel();
+    Deadline until = session.deadline;
+    for (;;) {
+      switch (session.socket.wait_hangup(wake.fd(), until)) {
+        case HangupWait::kWoken:
+          return;
+        case HangupWait::kPeerGone:
+          client_gone.store(true, std::memory_order_relaxed);
+          token.request_cancel();
+          return;
+        case HangupWait::kDeadline:
+          deadline_hit.store(true, std::memory_order_relaxed);
+          token.request_cancel();
+          until = Deadline::max();  // still watch for a hang-up
+          break;
       }
-      if (session.socket.peer_closed() &&
-          !client_gone.load(std::memory_order_relaxed)) {
-        client_gone.store(true, std::memory_order_relaxed);
-        token.request_cancel();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   });
 
@@ -436,7 +471,7 @@ void Server::handle_session(Pending session, std::ostream& log) {
     std::ostream progress_stream(&progress);
     outcome = cli::run_driver(registry_, driver, progress_stream);
   }
-  session_done.store(true, std::memory_order_relaxed);
+  wake.signal();
   watchdog.join();
 
   // 4. Final frames: export (+ manifest on request), then exactly one

@@ -17,8 +17,12 @@
 //  * Per-connection deadlines: each session gets `deadline_sec` of wall
 //    clock from admission to final status. A slow or dead client is
 //    cancelled through the executor's cooperative CancellationToken and
-//    affects only its own study; a vanished client (EOF on probe) is
-//    detected mid-study and cancelled the same way.
+//    affects only its own study. A per-session watchdog blocks in one
+//    poll() on the client socket (POLLRDHUP: the peer closed, even with
+//    bytes still unread) and a wake fd the worker signals when the study
+//    returns, timed out at the deadline — so a vanished client is
+//    cancelled mid-study, and a finished session ends at once, with no
+//    timer quantum on its turnaround.
 //  * Serialized execution, shared concurrency: sessions run one at a
 //    time on a worker thread, each fanning out across the process-wide
 //    ParallelExecutor. The process-wide cancellation slot
@@ -33,8 +37,10 @@
 //  * Graceful drain: request_drain() (async-signal-safe, wired to
 //    SIGTERM/SIGINT by the binary) stops accepting, answers queued
 //    sessions with "draining", gives the in-flight study `drain_sec` to
-//    finish before cancelling it, then flushes a drain summary of the
-//    net.* counters and returns 0.
+//    finish before cancelling it (a session whose token is installed
+//    after that is cancelled at installation), then flushes a drain
+//    summary of the net.* counters and returns 0. Every wait is on a
+//    condition variable or poll(); nothing in the server sleeps.
 #pragma once
 
 #include <atomic>
@@ -123,6 +129,9 @@ class Server {
   /// Cancellation token of the in-flight session, for the drain path.
   stats::CancellationToken* active_token_ VDBENCH_GUARDED_BY(mutex_) =
       nullptr;
+  /// Set by drain at grace expiry: a session whose token is installed
+  /// after that is cancelled at installation.
+  bool cancel_inflight_ VDBENCH_GUARDED_BY(mutex_) = false;
   std::uint64_t next_session_ VDBENCH_GUARDED_BY(mutex_) = 0;
   core::Mutex log_mutex_;
 };

@@ -17,17 +17,24 @@ std::string errno_text(std::string_view what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-// Remaining milliseconds until `deadline`, clamped for poll(); throws on
-// an already-expired deadline so callers never spin.
-int remaining_ms(Deadline deadline, std::string_view what) {
+// Milliseconds until `deadline`, clamped for poll(): 0 once it has passed,
+// rounded up before it so a wait never wakes just short and spins.
+int poll_timeout_ms(Deadline deadline) {
   const auto now = std::chrono::steady_clock::now();
-  if (now >= deadline)
-    throw TransportError(std::string(what) + " deadline expired");
+  if (now >= deadline) return 0;
   const auto left =
       std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
           .count();
   constexpr long long kMaxPollMs = 60'000;
   return static_cast<int>(left > kMaxPollMs ? kMaxPollMs : (left + 1));
+}
+
+// poll_timeout_ms for I/O: throws on an already-expired deadline so
+// callers never spin.
+int remaining_ms(Deadline deadline, std::string_view what) {
+  if (std::chrono::steady_clock::now() >= deadline)
+    throw TransportError(std::string(what) + " deadline expired");
+  return poll_timeout_ms(deadline);
 }
 
 // Park until `fd` is ready for `events` or the deadline passes.
@@ -123,16 +130,27 @@ void Socket::write_all(const char* src, std::size_t n, Deadline deadline) {
   }
 }
 
-bool Socket::peer_closed() const noexcept {
-  if (!valid()) return true;
-  char probe;
-  const ssize_t got =
-      ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (got > 0) return false;  // pending data = still alive
-  if (got == 0) return true;  // orderly shutdown
-  // A reset peer (ECONNRESET and friends) reports -1, not 0; only the
-  // would-block/interrupted cases mean the client is still there.
-  return errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR;
+HangupWait Socket::wait_hangup(int wake_fd, Deadline deadline) const noexcept {
+  if (!valid()) return HangupWait::kPeerGone;
+  for (;;) {
+    // POLLRDHUP fires on the peer's close or shutdown, not on pending
+    // data, so unread bytes neither hide a hang-up nor wake this loop.
+    // poll() skips a negative wake_fd.
+    pollfd fds[2] = {{fd_, POLLRDHUP, 0}, {wake_fd, POLLIN, 0}};
+    const int rc = ::poll(fds, 2, poll_timeout_ms(deadline));
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      // poll() on our own valid fds fails only on resource exhaustion;
+      // report the peer as gone so the caller cancels rather than spins.
+      return HangupWait::kPeerGone;
+    }
+    // Any event on the wake fd ends the wait, so a broken one cannot spin.
+    if (fds[1].revents != 0) return HangupWait::kWoken;
+    if ((fds[0].revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0)
+      return HangupWait::kPeerGone;
+    if (std::chrono::steady_clock::now() >= deadline)
+      return HangupWait::kDeadline;
+  }
 }
 
 Listener::Listener(const std::string& path) : path_(path) {

@@ -29,6 +29,9 @@ using Deadline = std::chrono::steady_clock::time_point;
 /// A deadline far enough out to mean "no deadline" for practical purposes.
 [[nodiscard]] Deadline no_deadline() noexcept;
 
+/// What ended a Socket::wait_hangup().
+enum class HangupWait { kWoken, kPeerGone, kDeadline };
+
 /// Owns one connected stream-socket file descriptor. Move-only.
 class Socket {
  public:
@@ -53,11 +56,15 @@ class Socket {
   /// on I/O error (including a closed peer) or deadline expiry.
   void write_all(const char* src, std::size_t n, Deadline deadline);
 
-  /// True when the peer is gone: a non-blocking MSG_PEEK sees EOF
-  /// (orderly shutdown) or a hard error such as ECONNRESET. Never
-  /// blocks; used by the server's watchdog to detect a dead client
-  /// between progress frames.
-  [[nodiscard]] bool peer_closed() const noexcept;
+  /// Block until `wake_fd` is readable (kWoken), the peer is gone
+  /// (kPeerGone), or `deadline` passes (kDeadline), whichever comes
+  /// first; a negative `wake_fd` is ignored, and a past deadline makes
+  /// this a non-blocking probe. The peer is gone once it closed or shut
+  /// down its end, or the connection failed (ECONNRESET and friends) —
+  /// even while bytes it sent are still unread. One poll() with no
+  /// periodic wakeup: the server's session watchdog.
+  [[nodiscard]] HangupWait wait_hangup(int wake_fd,
+                                       Deadline deadline) const noexcept;
 
  private:
   int fd_ = -1;

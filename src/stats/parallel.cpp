@@ -309,8 +309,13 @@ ParallelExecutor& global_executor() {
 }
 
 void set_global_threads(std::size_t threads) {
+  const std::size_t count =
+      threads == 0 ? ParallelExecutor::default_thread_count() : threads;
   std::lock_guard<std::mutex> lock(g_global_mutex);
-  g_global_executor = std::make_unique<ParallelExecutor>(threads);
+  // A pool of the right size is kept: a daemon sets the count on every
+  // session, and respawning the workers each time is pure churn.
+  if (g_global_executor && g_global_executor->thread_count() == count) return;
+  g_global_executor = std::make_unique<ParallelExecutor>(count);
 }
 
 void parallel_for_indexed(std::size_t n,

@@ -238,6 +238,23 @@ TEST_F(ResultCacheTest, AdoptsEntriesMissingFromTheIndex) {
   EXPECT_EQ(reopened.fetch(key, 2).value(), "orphan");
 }
 
+TEST_F(ResultCacheTest, UnchangedIndexIsNotRewritten) {
+  const CacheKey key = sample_key();
+  ResultCache cache = make_cache();
+  ASSERT_TRUE(cache.store(key, "payload", 5));
+  // Mark the index on disk: a rewrite renders it afresh, dropping the mark.
+  std::ofstream(dir_ / "index.tsv", std::ios::app) << "mark\n";
+  const auto marked = [this] {
+    std::ifstream in(dir_ / "index.tsv");
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    return text.find("mark") != std::string::npos;
+  };
+  ASSERT_TRUE(cache.fetch(key, 5).has_value());  // same recency: no write
+  EXPECT_TRUE(marked());
+  ASSERT_TRUE(cache.fetch(key, 6).has_value());  // recency moved: written
+  EXPECT_FALSE(marked());
+}
+
 TEST_F(ResultCacheTest, CorruptIndexLinesAreSkipped) {
   const CacheKey key = sample_key();
   {

@@ -13,6 +13,7 @@
 
 #include "cli/experiment.h"
 #include "experiments.h"
+#include "obs/registry.h"
 #include "stats/parallel.h"
 
 namespace vdbench::cli {
@@ -564,6 +565,38 @@ TEST_F(DriverTest, ManifestIsPublishedIncrementallyDuringTheRun) {
   const std::string final_manifest = slurp(manifest_path);
   EXPECT_NE(final_manifest.find("\"complete\":true"), std::string::npos);
   EXPECT_NE(final_manifest.find("\"id\":\"a2\""), std::string::npos);
+}
+
+TEST_F(DriverTest, CacheReplaysArePublishedBeforeTheNextComputation) {
+  // A replay loses nothing to a kill, so a warm run writes its manifest
+  // once; a computation after replays first publishes them, keeping the
+  // crash-safety window --resume depends on.
+  const fs::path manifest_path = dir_ / "manifest.json";
+  std::string mid_run_manifest;
+  ExperimentRegistry registry;
+  registry.add({"a1", "replayed", "inc{n=1}", true,
+                [](ExperimentContext& ctx) { ctx.out << "a1 line\n"; }});
+  registry.add({"a2", "spies on the manifest", "inc{n=2}", true,
+                [&](ExperimentContext& ctx) {
+                  mid_run_manifest = slurp(manifest_path);
+                  ctx.out << "a2 line\n";
+                }});
+  DriverOptions options = base_options();
+  options.quiet = true;
+  options.experiments = "a1";
+  ASSERT_EQ(run_driver(registry, options, std::cout).exit_code, kExitOk);
+  const auto writes = [] {
+    return obs::Registry::global().value(obs::Counter::kManifestWrites);
+  };
+  const std::uint64_t before = writes();
+  ASSERT_EQ(run_driver(registry, options, std::cout).hits, 1u);
+  EXPECT_EQ(writes() - before, 1u);  // the final manifest only
+
+  fs::remove(manifest_path);
+  options.experiments = "a1,a2";
+  ASSERT_EQ(run_driver(registry, options, std::cout).exit_code, kExitOk);
+  EXPECT_NE(mid_run_manifest.find("\"id\":\"a1\""), std::string::npos);
+  EXPECT_NE(mid_run_manifest.find("\"complete\":false"), std::string::npos);
 }
 
 TEST_F(DriverTest, WatchdogCancelsARunawayExperiment) {

@@ -7,6 +7,7 @@
 // machinery runs under the tsan ctest label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -108,10 +109,17 @@ TEST_F(StreamResilienceTest, StallInProducerIsWatchdogCancelledAndRetried) {
   // the cooperative cancellation token. The retry then runs clean and the
   // export matches the unfaulted run.
   const DriverOptions clean = drill_options("clean", 4);
-  ASSERT_EQ(run_driver(registry_, clean, std::cout).exit_code, kExitOk);
+  const RunOutcome clean_run = run_driver(registry_, clean, std::cout);
+  ASSERT_EQ(clean_run.exit_code, kExitOk);
+  ASSERT_EQ(clean_run.experiments.size(), 1u);
+  ASSERT_FALSE(clean_run.experiments[0].attempts.empty());
 
+  // The watchdog budget must leave the clean retry ample room: a fixed
+  // 0.5 s is about one clean run under ThreadSanitizer, so scale it.
+  const double timeout =
+      std::max(0.5, 4.0 * clean_run.experiments[0].attempts[0].seconds);
   DriverOptions options = drill_options("stall", 4);
-  options.timeout_sec = 0.5;
+  options.timeout_sec = timeout;
   options.retries = 1;
   fault::Injector::global().arm("stream.produce=timeout@4:1");
   std::ostringstream out;
@@ -122,7 +130,7 @@ TEST_F(StreamResilienceTest, StallInProducerIsWatchdogCancelledAndRetried) {
   const ExperimentOutcome& e18 = run.experiments[0];
   ASSERT_EQ(e18.attempts.size(), 2u);
   EXPECT_EQ(e18.attempts[0].result, "timeout");
-  EXPECT_GE(e18.attempts[0].seconds, 0.5);  // held until the watchdog
+  EXPECT_GE(e18.attempts[0].seconds, timeout);  // held until the watchdog
   EXPECT_EQ(e18.attempts[1].result, "ok");
   EXPECT_EQ(slurp(options.json_out), slurp(clean.json_out));
 }

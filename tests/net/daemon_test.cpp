@@ -280,6 +280,25 @@ TEST_F(DaemonTest, VanishedClientIsDetectedAndCancelled) {
   EXPECT_EQ(stop_server(), 0);
 }
 
+TEST_F(DaemonTest, VanishedClientWithTrailingBytesIsCancelled) {
+  // Bytes the server never reads must not hide the hang-up behind them.
+  start_server();
+  {
+    Socket raw = connect_unix(options_.socket_path);
+    StudyRequest request;
+    request.experiments = "gate";
+    write_raw_frame(raw, FrameType::kRequest, encode_request(request));
+    const std::string junk = "junk";
+    raw.write_all(junk.data(), junk.size(), no_deadline());
+    ASSERT_TRUE(wait_until([] { return g_gate_entered.load(); }));
+  }  // scope exit closes the socket with the junk still unread
+  ASSERT_TRUE(wait_until(
+      [&] { return delta(obs::Counter::kNetSessionsCancelled) >= 1; }));
+  const ClientOutcome next = run_client("t1");
+  EXPECT_EQ(next.status.exit_code, 0);
+  EXPECT_EQ(stop_server(), 0);
+}
+
 TEST_F(DaemonTest, DrainAnswersDrainingAndLeavesParseableManifests) {
   options_.drain_sec = 0.2;
   start_server();

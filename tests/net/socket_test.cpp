@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace vdbench::net {
 namespace {
 
@@ -34,6 +36,12 @@ class SocketTest : public ::testing::Test {
 
   std::string path_;
 };
+
+// Non-blocking liveness probe: a deadline already passed.
+bool peer_gone(const Socket& socket) {
+  return socket.wait_hangup(-1, std::chrono::steady_clock::now()) ==
+         HangupWait::kPeerGone;
+}
 
 TEST_F(SocketTest, WriteToAStalledPeerExpiresAtTheDeadlineNotInSend) {
   Listener listener(path_);
@@ -74,7 +82,7 @@ TEST_F(SocketTest, PeerClosedSeesBothOrderlyShutdownAndReset) {
   std::optional<Socket> server = listener.accept_one();
   ASSERT_TRUE(server.has_value());
 
-  EXPECT_FALSE(client.peer_closed());
+  EXPECT_FALSE(peer_gone(client));
 
   // Close with unread data in flight: depending on the kernel this
   // surfaces as EOF or ECONNRESET — both must read as "peer gone" (a
@@ -82,7 +90,43 @@ TEST_F(SocketTest, PeerClosedSeesBothOrderlyShutdownAndReset) {
   const char probe = 'p';
   client.write_all(&probe, 1, std::chrono::steady_clock::now() + 1s);
   server->close();
-  EXPECT_TRUE(client.peer_closed());
+  EXPECT_TRUE(peer_gone(client));
+}
+
+TEST_F(SocketTest, HangUpBehindUnreadBytesReadsAsPeerGone) {
+  Listener listener(path_);
+  Socket client = connect_unix(path_);
+  std::optional<Socket> server = listener.accept_one();
+  ASSERT_TRUE(server.has_value());
+
+  const std::string trailing = "unread";
+  client.write_all(trailing.data(), trailing.size(),
+                   std::chrono::steady_clock::now() + 1s);
+  EXPECT_FALSE(peer_gone(*server));  // pending data is not a hang-up
+  client.close();
+  EXPECT_TRUE(peer_gone(*server));
+}
+
+TEST_F(SocketTest, WaitHangupEndsOnWakeDeadlineOrPeerClose) {
+  Listener listener(path_);
+  Socket client = connect_unix(path_);
+  std::optional<Socket> server = listener.accept_one();
+  ASSERT_TRUE(server.has_value());
+
+  int wake[2];
+  ASSERT_EQ(::pipe(wake), 0);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(server->wait_hangup(wake[0], start + 50ms), HangupWait::kDeadline);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 50ms);
+
+  const char byte = 'w';
+  ASSERT_EQ(::write(wake[1], &byte, 1), 1);
+  EXPECT_EQ(server->wait_hangup(wake[0], no_deadline()), HangupWait::kWoken);
+
+  ::close(wake[0]);
+  ::close(wake[1]);
+  client.close();
+  EXPECT_EQ(server->wait_hangup(-1, no_deadline()), HangupWait::kPeerGone);
 }
 
 }  // namespace

@@ -137,6 +137,16 @@ TEST(GlobalExecutorTest, SetGlobalThreadsReplacesPool) {
   EXPECT_GE(global_executor().thread_count(), 1u);
 }
 
+TEST(GlobalExecutorTest, SetGlobalThreadsKeepsAPoolOfTheSameSize) {
+  set_global_threads(3);
+  const ParallelExecutor* pool = &global_executor();
+  set_global_threads(3);  // a daemon does this on every session
+  EXPECT_EQ(&global_executor(), pool);
+  set_global_threads(2);
+  EXPECT_EQ(global_executor().thread_count(), 2u);
+  set_global_threads(0);
+}
+
 // --- cooperative cancellation --------------------------------------------
 
 TEST(CancellationTest, NoTokenInstalledMeansNeverCancelled) {
